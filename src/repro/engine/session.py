@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
@@ -45,7 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.apps.common import AppBundle
     from repro.core.processor import RunResult
     from repro.obs.metrics import MetricsRegistry
-    from repro.obs.registry import ProbeRegistry
     from repro.obs.tracer import Tracer
 
 #: Cache statuses a delivered result can carry in its manifest.
@@ -64,9 +62,7 @@ _CACHEABLE_ERRORS = ("SimulationError", "InvariantViolation", "HostError")
 class SessionConfig:
     """Engine knobs, consolidated (``docs/api.md``).
 
-    Pass one of these as ``Session(config=...)``; the scattered
-    keyword arguments (``jobs=``, ``cache=``, ...) survive as
-    deprecated compatibility shims.
+    Pass one of these as ``Session(config=...)``.
 
     Parameters
     ----------
@@ -167,9 +163,10 @@ class RunOutcome:
                 or self.error_type in _CACHEABLE_ERRORS)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SessionStats:
-    """Engine counters (exported via :meth:`Session.probes`)."""
+    """Engine counters: a read-only snapshot of the ``engine_*``
+    metric families (:meth:`from_metrics`)."""
 
     hits: int = 0
     misses: int = 0
@@ -200,6 +197,20 @@ class SessionStats:
                 f"hits={self.hits} misses={self.misses} "
                 f"uncached={self.uncached} "
                 f"hit_rate={self.hit_rate * 100:.1f}%")
+
+    @classmethod
+    def from_metrics(cls, metrics: "MetricsRegistry") -> "SessionStats":
+        def count(name: str, **match: str) -> int:
+            return int(metrics.total(name, **match))
+
+        cache = "engine_cache_requests_total"
+        return cls(hits=count(cache, result="hit"),
+                   misses=count(cache, result="miss"),
+                   uncached=count(cache, result="uncached"),
+                   executed=count("engine_runs_executed_total"),
+                   failed=count("engine_runs_failed_total"),
+                   timeouts=count("engine_worker_timeouts_total"),
+                   retried=count("engine_worker_retries_total"))
 
 
 # ----------------------------------------------------------------------
@@ -363,11 +374,6 @@ class RunHandle:
         return self.outcome().unwrap()
 
 
-#: Sentinel distinguishing "not passed" from an explicit ``None``
-#: for the deprecated Session keyword shims.
-_UNSET: Any = object()
-
-
 class Session:
     """The run API: submit requests, shard them, cache the results.
 
@@ -388,44 +394,18 @@ class Session:
         Defaults applied to requests that leave theirs ``None``.
     salt:
         Cache-salt override (defaults to the source-tree code salt).
-
-    The pre-``SessionConfig`` keywords (``jobs=``, ``cache=``,
-    ``cache_dir=``, ``timeout=``, ``retries=``, ``preflight=``,
-    ``history=``) still work but emit a :class:`DeprecationWarning`;
-    see ``docs/api.md`` for the migration table.
+    metrics:
+        Live-metrics registry to count into (defaults to a fresh
+        one); :attr:`stats` reads it back.
     """
 
-    def __init__(self, config: "SessionConfig | int | None" = None,
-                 *,
+    def __init__(self, config: SessionConfig | None = None, *,
                  backend: str | None = None,
                  machine: MachineConfig | None = None,
                  board: BoardConfig | None = None,
                  salt: str | None = None,
-                 metrics: "MetricsRegistry | None" = None,
-                 jobs: int = _UNSET, cache: bool = _UNSET,
-                 cache_dir=_UNSET, timeout: float | None = _UNSET,
-                 retries: int = _UNSET, preflight: bool = _UNSET,
-                 history=_UNSET) -> None:
-        legacy = {name: value for name, value in (
-            ("jobs", jobs), ("cache", cache), ("cache_dir", cache_dir),
-            ("timeout", timeout), ("retries", retries),
-            ("preflight", preflight), ("history", history))
-            if value is not _UNSET}
-        if isinstance(config, int):
-            # Pre-SessionConfig signature: jobs was the first
-            # positional parameter.
-            legacy.setdefault("jobs", config)
-            config = None
-        if legacy:
-            warnings.warn(
-                f"Session({', '.join(sorted(legacy))}=...) keyword(s) "
-                f"are deprecated; pass "
-                f"Session(config=SessionConfig(...)) instead "
-                f"(docs/api.md)",
-                DeprecationWarning, stacklevel=2)
-            config = dataclasses.replace(config or SessionConfig(),
-                                         **legacy)
-        elif config is None:
+                 metrics: "MetricsRegistry | None" = None) -> None:
+        if config is None:
             config = SessionConfig()
         if backend is not None:
             config = dataclasses.replace(config, backend=backend)
@@ -438,7 +418,6 @@ class Session:
         self.timeout = config.timeout
         self.retries = config.retries
         self.history = config.history
-        self.stats = SessionStats()
         self._salt = salt if salt is not None else code_salt()
         self._init_metrics(metrics)
         self._cache = (ResultCache(config.cache_dir,
@@ -487,6 +466,12 @@ class Session:
         self._m_failed = m.counter(
             "engine_runs_failed_total",
             "typed simulation failures captured as outcomes")
+
+    @property
+    def stats(self) -> SessionStats:
+        """Engine counters read from :attr:`metrics`; a registry
+        shared by several sessions reports their sum."""
+        return SessionStats.from_metrics(self.metrics)
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -549,12 +534,9 @@ class Session:
             outcome = _capture(bundle, request, tracer=handle.tracer,
                                preflight=self.preflight,
                                backend=effective_backend)
-            self.stats.uncached += 1
-            self.stats.executed += 1
             self._m_cache.labels(result="uncached").inc()
             self._m_executed.inc()
             if not outcome.completed:
-                self.stats.failed += 1
                 self._m_failed.inc()
             handle._outcome = _stamp(outcome, None, "uncached")
             handle.cache_status = "uncached"
@@ -564,7 +546,6 @@ class Session:
         if self._cache is not None:
             shared = self._inflight.get(digest)
             if shared is not None:
-                self.stats.hits += 1
                 self._m_cache.labels(result="hit").inc()
                 self._m_dedup.inc()
                 handle = RunHandle(self, request, digest)
@@ -578,7 +559,6 @@ class Session:
         if self._cache is not None:
             cached = self._cache.load(digest)
             if cached is not None:
-                self.stats.hits += 1
                 self._m_cache.labels(result="hit").inc()
                 handle._outcome = _stamp(cached, digest, "hit")
                 handle.cache_status = "hit"
@@ -639,12 +619,9 @@ class Session:
         outcome = _capture(bundle, request, tracer=tracer,
                            preflight=self.preflight,
                            backend=effective_backend)
-        self.stats.uncached += 1
-        self.stats.executed += 1
         self._m_cache.labels(result="uncached").inc()
         self._m_executed.inc()
         if not outcome.completed:
-            self.stats.failed += 1
             self._m_failed.inc()
         handle._outcome = _stamp(outcome, None, "uncached")
         handle.cache_status = "uncached"
@@ -698,7 +675,6 @@ class Session:
                 outcome = handle._future.result(timeout=self.timeout)
                 break
             except concurrent.futures.TimeoutError:
-                self.stats.timeouts += 1
                 self._m_timeouts.inc()
                 outcome = RunOutcome(
                     status="failed", error_type="RunTimeout",
@@ -707,6 +683,13 @@ class Session:
                         f"{self.timeout}s wall-clock"))
                 break
             except concurrent.futures.process.BrokenProcessPool:
+                # A broken pool never recovers: drop it, so the next
+                # dispatch (a retry here or a later submit) gets a
+                # fresh one.
+                if self._executor is not None:
+                    self._executor.shutdown(wait=False,
+                                            cancel_futures=True)
+                    self._executor = None
                 if handle._attempts > self.retries:
                     outcome = RunOutcome(
                         status="failed", error_type="WorkerCrashed",
@@ -714,27 +697,18 @@ class Session:
                             f"{handle.request.app}: worker process "
                             f"died ({handle._attempts} attempt(s))"))
                     break
-                # Recreate the pool and re-dispatch.
-                self.stats.retried += 1
                 self._m_retries.inc()
                 handle._attempts += 1
-                if self._executor is not None:
-                    self._executor.shutdown(wait=False,
-                                            cancel_futures=True)
-                    self._executor = None
                 handle._future = self._pool().submit(
                     _execute_request, handle.request, self.preflight,
                     handle.backend)
         self._complete(handle, outcome)
 
     def _complete(self, handle: RunHandle, outcome: RunOutcome) -> None:
-        self.stats.executed += 1
         self._m_executed.inc()
         if not outcome.completed:
-            self.stats.failed += 1
             self._m_failed.inc()
-        if handle.digest is not None and self._cache is not None:
-            self.stats.misses += 1
+        if self._cache is not None:
             self._m_cache.labels(result="miss").inc()
             handle.cache_status = "miss"
             outcome = _stamp(outcome, handle.digest, "miss")
@@ -742,9 +716,6 @@ class Session:
                 self._cache.store(handle.digest, outcome,
                                   handle.request)
         else:
-            if handle.digest is not None:
-                # Declarative but cache disabled.
-                self.stats.uncached += 1
             self._m_cache.labels(result="uncached").inc()
             handle.cache_status = "uncached"
             outcome = _stamp(outcome, handle.digest, "uncached")
@@ -835,41 +806,6 @@ class Session:
             rerun = self.run(dataclasses.replace(
                 request, machine=machine, board=board))
         return build_whatif(baseline, scales, validated=rerun)
-
-    # ------------------------------------------------------------------
-    # Observability.
-    # ------------------------------------------------------------------
-    def probes(self) -> "ProbeRegistry":
-        """Engine counters as a PR 1 probe registry."""
-        from repro.obs.registry import ProbeRegistry
-
-        registry = ProbeRegistry()
-        stats = self.stats
-        registry.add("engine.jobs", self.jobs, "processes",
-                     "worker processes available to this session")
-        registry.add("engine.runs", stats.runs, "runs",
-                     "runs delivered by this session")
-        registry.add("engine.cache.hits", stats.hits, "runs",
-                     "runs served from the content-addressed cache")
-        registry.add("engine.cache.misses", stats.misses, "runs",
-                     "cache-keyed runs that had to execute")
-        registry.add("engine.cache.hit_rate", stats.hit_rate,
-                     "fraction", "hits / (hits + misses)")
-        registry.add("engine.runs.uncached", stats.uncached, "runs",
-                     "runs executed outside the cache")
-        registry.add("engine.runs.executed", stats.executed, "runs",
-                     "simulations actually executed")
-        registry.add("engine.runs.failed", stats.failed, "runs",
-                     "typed simulation failures captured as outcomes")
-        registry.add("engine.runs.timeouts", stats.timeouts, "runs",
-                     "runs abandoned at the wall-clock timeout")
-        # Live metric families (engine_* counters, plus whatever else
-        # shares this session's registry) ride along, so one probe
-        # snapshot carries both vocabularies.
-        from repro.obs.metrics import probes_from_metrics
-
-        probes_from_metrics(self.metrics, add=registry.add)
-        return registry
 
 
 # ----------------------------------------------------------------------

@@ -78,7 +78,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     counter_totals,
     parse_prometheus,
-    probes_from_metrics,
     render_prometheus,
 )
 from repro.obs.stitch import (
@@ -163,7 +162,6 @@ __all__ = [
     "MetricsRegistry",
     "counter_totals",
     "parse_prometheus",
-    "probes_from_metrics",
     "render_prometheus",
     "SERVICE_PID",
     "SIMULATOR_PID",

@@ -12,15 +12,14 @@ under that:
   those names, so series cardinality is a reviewable constant;
 * a thread-safe :class:`MetricsRegistry` with get-or-create
   registration (identical re-registration returns the same metric,
-  a conflicting one raises), :meth:`~MetricsRegistry.snapshot` and
-  :meth:`~MetricsRegistry.reset`;
+  a conflicting one raises), :meth:`~MetricsRegistry.snapshot`,
+  :meth:`~MetricsRegistry.reset` and :meth:`~MetricsRegistry.total`
+  -- the read the engine and service stats views are built from;
 * :func:`render_prometheus` -- Prometheus text exposition format
   v0.0.4, family names sorted and children ordered by label values,
   so two scrapes of identical state are **byte-identical**;
 * :func:`parse_prometheus` -- the strict parser the tests and the CI
-  soak job validate scrapes with;
-* :func:`probes_from_metrics` -- the bridge into the PR 1
-  :class:`~repro.obs.registry.ProbeRegistry` vocabulary.
+  soak job validate scrapes with.
 
 Every metric carries a unit.  When none is passed explicitly the
 name is looked up in :data:`repro.obs.registry.COUNTER_UNITS`; a
@@ -38,7 +37,7 @@ from __future__ import annotations
 import math
 import re
 import threading
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 __all__ = [
     "CONTENT_TYPE",
@@ -50,7 +49,6 @@ __all__ = [
     "MetricsRegistry",
     "counter_totals",
     "parse_prometheus",
-    "probes_from_metrics",
     "render_prometheus",
 ]
 
@@ -389,6 +387,20 @@ class MetricsRegistry:
                         for name in sorted(self._metrics)]
         return iter(families)
 
+    def total(self, name: str, **match: str) -> float:
+        """Sum of a counter or gauge family's series whose labels
+        include ``match``; 0.0 when ``name`` is not registered.
+
+        Reads existing series only (never :meth:`Metric.labels`), so
+        asking leaves the exposition byte-for-byte unchanged.
+        """
+        metric = self._metrics.get(name)
+        if metric is None:
+            return 0.0
+        return sum(child.value for key, child in metric.children()
+                   if all(dict(zip(metric.label_names, key)).get(label)
+                          == value for label, value in match.items()))
+
     def snapshot(self) -> dict[str, dict]:
         """Deterministic ``name -> {type, help, unit, samples}``."""
         out: dict[str, dict] = {}
@@ -631,42 +643,3 @@ def counter_totals(families: Mapping[str, dict]) -> dict[str, float]:
                               sorted(sample["labels"].items()))
             totals[f"{name}{{{labels}}}"] = sample["value"]
     return totals
-
-
-# ----------------------------------------------------------------------
-# Bridge into the PR 1 probe registry.
-# ----------------------------------------------------------------------
-def probes_from_metrics(metrics: MetricsRegistry,
-                        add: Callable[..., None] | None = None,
-                        prefix: str = "") -> Any:
-    """Export a metrics registry as PR 1 probes.
-
-    Each counter/gauge child becomes one probe named
-    ``<prefix><metric>{label=value,...}`` with the metric's unit
-    (drawn from the shared ``COUNTER_UNITS`` vocabulary at
-    registration time); histograms export their ``_count`` and
-    ``_sum``.  Pass ``add`` to append into an existing registry
-    builder; otherwise a fresh :class:`ProbeRegistry` is returned.
-    """
-    from repro.obs.registry import ProbeRegistry
-
-    registry = None
-    if add is None:
-        registry = ProbeRegistry()
-        add = registry.add
-    for metric in metrics.collect():
-        for key, child in metric.children():
-            labels = ",".join(
-                f"{name}={value}"
-                for name, value in zip(metric.label_names, key))
-            suffix = f"{{{labels}}}" if labels else ""
-            base = f"{prefix}{metric.name}{suffix}"
-            if metric.kind == "histogram":
-                add(f"{base}.count", float(child.count),
-                    "observations", metric.help)
-                add(f"{base}.sum", float(child.sum), metric.unit,
-                    metric.help)
-            else:
-                add(base, float(child.value), metric.unit,
-                    metric.help)
-    return registry

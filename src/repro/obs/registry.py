@@ -133,6 +133,7 @@ COUNTER_UNITS: dict[str, str] = {
     "serve_jobs_terminal_total": "jobs",
     "serve_jobs_coalesced_total": "jobs",
     "serve_jobs_recovered_total": "jobs",
+    "serve_jobs_deadline_exceeded_total": "jobs",
     "serve_artifact_hits_total": "jobs",
     "serve_job_retries_total": "retries",
     "serve_job_executions_total": "executions",

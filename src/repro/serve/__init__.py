@@ -8,8 +8,8 @@ Hardened end to end -- bounded admission queue with explicit
 backpressure, per-request deadlines, exponential-backoff retry of
 infrastructure failures, a circuit breaker that sheds cold-cache work
 when the worker pool is unhealthy, a crash-safe append-only job
-journal, duplicate-digest coalescing, and health/readiness endpoints
-fed from the engine's probes.  See ``docs/serving.md``.
+journal, duplicate-digest coalescing, and health/readiness endpoints.
+See ``docs/serving.md``.
 
 The chaos harness (:mod:`repro.serve.chaos` +
 ``repro serve --soak N --chaos PLAN``) injects worker kills, cache

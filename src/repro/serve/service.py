@@ -51,13 +51,13 @@ from repro.serve.retry import is_retryable
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.request import RunRequest
     from repro.obs.metrics import MetricsRegistry
-    from repro.obs.registry import ProbeRegistry
     from repro.obs.tracer import Tracer
 
 
-@dataclass
+@dataclass(frozen=True)
 class ServiceStats:
-    """Service counters (exported via :meth:`ExperimentService.probes`)."""
+    """Service counters: a read-only snapshot of the ``serve_*``
+    metric families (:meth:`from_metrics`)."""
 
     accepted: int = 0
     completed: int = 0
@@ -74,6 +74,28 @@ class ServiceStats:
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.__dict__)
+
+    @classmethod
+    def from_metrics(cls, metrics: "MetricsRegistry") -> "ServiceStats":
+        def count(name: str, **match: str) -> int:
+            return int(metrics.total(name, **match))
+
+        terminal = "serve_jobs_terminal_total"
+        rejected = "serve_jobs_rejected_total"
+        return cls(
+            accepted=count("serve_jobs_accepted_total"),
+            completed=count(terminal, state="completed"),
+            failed=count(terminal, state="failed"),
+            retried=count("serve_job_retries_total"),
+            coalesced=count("serve_jobs_coalesced_total"),
+            artifact_hits=count("serve_artifact_hits_total"),
+            shed_queue_full=count(rejected, reason="queue_full"),
+            shed_breaker=count(rejected, reason="breaker"),
+            recovered=count("serve_jobs_recovered_total"),
+            deadline_failures=count(
+                "serve_jobs_deadline_exceeded_total"),
+            executions=count("serve_job_executions_total"),
+            bad_requests=count(rejected, reason="bad_request"))
 
 
 class CircuitBreaker:
@@ -161,7 +183,6 @@ class ExperimentService:
                                   fsync=self.config.journal_fsync)
         self.artifacts = ArtifactStore(
             self.data_dir, on_written=self.chaos.artifact_written)
-        self.stats = ServiceStats()
         self._init_metrics(metrics)
         self.breaker = CircuitBreaker(self.config.breaker_threshold,
                                       self.config.breaker_cooldown_s,
@@ -190,12 +211,10 @@ class ExperimentService:
     def _init_metrics(self, metrics: "MetricsRegistry | None") -> None:
         """Register the service's live-metric families.
 
-        Dual-written alongside :class:`ServiceStats` (the snapshot
-        dict stays the journal-auditable source of truth; the metric
-        families are the scrapeable one).  The registry is shared
-        with every worker-thread engine session, so one ``/metrics``
-        scrape carries the ``serve_*`` and ``engine_*`` vocabularies
-        together.
+        The registry is shared with every worker-thread engine
+        session, so one ``/metrics`` scrape carries the ``serve_*``
+        and ``engine_*`` vocabularies together, and :attr:`stats` /
+        :meth:`engine_stats` read their counts back from it.
         """
         from repro.obs.metrics import MetricsRegistry
 
@@ -221,6 +240,9 @@ class ExperimentService:
         self._m_recovered = m.counter(
             "serve_jobs_recovered_total",
             "jobs recovered from the journal at startup")
+        self._m_deadline = m.counter(
+            "serve_jobs_deadline_exceeded_total",
+            "jobs failed at their per-request deadline")
         self._m_artifact_hits = m.counter(
             "serve_artifact_hits_total",
             "submissions answered from the verified artifact store")
@@ -333,7 +355,6 @@ class ExperimentService:
                 self.journal.append("completed", job_id, digest=digest,
                                     served_from="artifact",
                                     recovered=True)
-                self.stats.recovered += 1
                 self._m_recovered.inc()
                 self._m_terminal.labels(state="completed").inc()
                 continue
@@ -350,7 +371,6 @@ class ExperimentService:
                 self.journal.append("failed", job_id,
                                     error_type="UnrecoverableJob",
                                     error_message=str(error))
-                self.stats.failed += 1
                 self._m_terminal.labels(state="failed").inc()
                 continue
             job.deadline_s = deadline_s
@@ -360,7 +380,6 @@ class ExperimentService:
             self._events[job_id] = asyncio.Event()
             self._inflight.setdefault(job.digest, job_id)
             self._pending += 1
-            self.stats.recovered += 1
             self._m_recovered.inc()
             self._m_queue_depth.set(self._pending)
             self.journal.append("recovered", job_id, digest=job.digest)
@@ -398,7 +417,6 @@ class ExperimentService:
             request, deadline_s = request_from_payload(payload,
                                                        self.config)
         except BadRequest:
-            self.stats.bad_requests += 1
             self._m_rejected.labels(reason="bad_request").inc()
             raise
         digest = request.digest(salt=self._salt)
@@ -412,9 +430,6 @@ class ExperimentService:
                       state="completed", accepted_at=now,
                       deadline_s=deadline_s, served_from="artifact")
             self.jobs[job.id] = job
-            self.stats.accepted += 1
-            self.stats.artifact_hits += 1
-            self.stats.completed += 1
             self._m_accepted.labels(path="artifact").inc()
             self._m_artifact_hits.inc()
             self._m_terminal.labels(state="completed").inc()
@@ -439,8 +454,6 @@ class ExperimentService:
                       served_from="coalesced")
             self.jobs[job.id] = job
             self._followers.setdefault(primary_id, []).append(job.id)
-            self.stats.accepted += 1
-            self.stats.coalesced += 1
             self._m_accepted.labels(path="coalesced").inc()
             self._m_coalesced.inc()
             self.journal.append("accepted", job.id, digest=digest,
@@ -452,7 +465,6 @@ class ExperimentService:
 
         # Cold work: the breaker may be shedding it.
         if not self.breaker.allow_cold(now):
-            self.stats.shed_breaker += 1
             self._m_rejected.labels(reason="breaker").inc()
             raise ServiceUnavailable(
                 "worker pool unhealthy; serving cache hits only",
@@ -460,7 +472,6 @@ class ExperimentService:
 
         # Bounded admission queue: explicit backpressure beyond it.
         if self._pending >= self.config.queue_limit:
-            self.stats.shed_queue_full += 1
             self._m_rejected.labels(reason="queue_full").inc()
             retry_after = max(
                 1.0, self._pending * self._avg_exec_s
@@ -478,7 +489,6 @@ class ExperimentService:
         self._events[job.id] = asyncio.Event()
         self._inflight[digest] = job.id
         self._pending += 1
-        self.stats.accepted += 1
         self._m_accepted.labels(path="queued").inc()
         self._m_queue_depth.set(self._pending)
         self.journal.append("accepted", job.id, digest=digest,
@@ -518,16 +528,18 @@ class ExperimentService:
     # ------------------------------------------------------------------
     def _thread_session(self):
         """One engine session per worker thread, sharing the on-disk
-        cache; created lazily, registered for probe aggregation."""
+        cache and the service's metrics registry; created lazily."""
         session = getattr(self._local, "session", None)
         if session is None:
             from repro.engine import Session, SessionConfig
 
+            # retries=0: the service RetryPolicy is the only layer
+            # that re-dispatches, so it alone bounds attempts per job.
             session = Session(config=SessionConfig(
                 backend=self.config.backend,
                 jobs=self.config.engine_jobs,
                 cache=True, cache_dir=self.cache_dir,
-                timeout=self.config.engine_timeout_s),
+                timeout=self.config.engine_timeout_s, retries=0),
                 metrics=self.metrics)
             self._local.session = session
             with self._sessions_lock:
@@ -587,7 +599,7 @@ class ExperimentService:
         while True:
             remaining = job.deadline_remaining(self.now())
             if remaining <= 0:
-                self.stats.deadline_failures += 1
+                self._m_deadline.inc()
                 self._fail(job, "DeadlineExceeded",
                            f"deadline of {job.deadline_s:.1f}s "
                            f"passed before completion")
@@ -595,7 +607,6 @@ class ExperimentService:
             job.state = "running"
             job.attempts += 1
             job.started_at = self.now()
-            self.stats.executions += 1
             self._m_executions.inc()
             self.journal.append("started", job.id,
                                 attempt=job.attempts)
@@ -607,7 +618,7 @@ class ExperimentService:
                                          request, job),
                     timeout=max(remaining, 0.001))
             except asyncio.TimeoutError:
-                self.stats.deadline_failures += 1
+                self._m_deadline.inc()
                 self.breaker.strike(self.now())
                 self._fail(job, "DeadlineExceeded",
                            f"execution exceeded the "
@@ -653,7 +664,6 @@ class ExperimentService:
                 and is_retryable(error_type)
                 and job.deadline_remaining(self.now()) > 0):
             delay = self.config.retry.delay(job.digest, job.attempts)
-            self.stats.retried += 1
             self._m_retries.inc()
             self.journal.append("retrying", job.id,
                                 attempt=job.attempts,
@@ -699,7 +709,6 @@ class ExperimentService:
         job.state = "completed"
         if job.served_from is None:
             job.served_from = "execution"
-        self.stats.completed += 1
         self._m_terminal.labels(state="completed").inc()
         self.journal.append("completed", job.id, digest=job.digest,
                             served_from=job.served_from)
@@ -711,7 +720,6 @@ class ExperimentService:
         job.error_type = error_type
         job.error_message = message
         job.diagnostics = diagnostics
-        self.stats.failed += 1
         self._m_terminal.labels(state="failed").inc()
         self.journal.append("failed", job.id, error_type=error_type,
                             error_message=message)
@@ -741,13 +749,11 @@ class ExperimentService:
             follower.served_from = "coalesced"
             follower.finished_at = job.finished_at
             if job.state == "completed":
-                self.stats.completed += 1
                 self._m_terminal.labels(state="completed").inc()
                 self.journal.append("completed", follower.id,
                                     digest=follower.digest,
                                     served_from="coalesced")
             else:
-                self.stats.failed += 1
                 self._m_terminal.labels(state="failed").inc()
                 self.journal.append(
                     "failed", follower.id,
@@ -792,46 +798,17 @@ class ExperimentService:
 
         return render_prometheus(self.metrics)
 
-    def engine_stats(self) -> dict[str, float]:
-        """Engine counters aggregated over every worker session."""
-        totals: dict[str, float] = {}
-        with self._sessions_lock:
-            sessions = list(self._thread_sessions)
-        for session in sessions:
-            for name, value in session.stats.as_dict().items():
-                if name == "hit_rate":
-                    continue
-                totals[name] = totals.get(name, 0) + value
-        keyed = totals.get("hits", 0) + totals.get("misses", 0)
-        totals["hit_rate"] = (totals.get("hits", 0) / keyed
-                              if keyed else 0.0)
-        return totals
+    @property
+    def stats(self) -> ServiceStats:
+        """Service counters read from :attr:`metrics`."""
+        return ServiceStats.from_metrics(self.metrics)
 
-    def probes(self) -> "ProbeRegistry":
-        """Service + engine counters as a PR 1 probe registry; the
-        engine rows come from each worker session's
-        :meth:`~repro.engine.Session.probes` vocabulary."""
-        from repro.obs.registry import ProbeRegistry
+    def engine_stats(self) -> dict[str, Any]:
+        """Engine counters of every worker session (they all count
+        into the service's registry)."""
+        from repro.engine.session import SessionStats
 
-        registry = ProbeRegistry()
-        for name, value in sorted(self.stats.as_dict().items()):
-            registry.add(f"serve.{name}", value, "jobs",
-                         f"service counter: {name}")
-        registry.add("serve.pending", self._pending, "jobs",
-                     "queued + running jobs")
-        registry.add("serve.breaker.trips", self.breaker.trips,
-                     "trips", "times the circuit breaker opened")
-        for name, value in sorted(self.engine_stats().items()):
-            unit = "fraction" if name == "hit_rate" else "runs"
-            registry.add(f"serve.engine.{name}", value, unit,
-                         "aggregated engine counter over worker "
-                         "sessions")
-        # The live metric families (serve_* and, via the shared
-        # registry, engine_*) ride along under their exposition names.
-        from repro.obs.metrics import probes_from_metrics
-
-        probes_from_metrics(self.metrics, add=registry.add)
-        return registry
+        return SessionStats.from_metrics(self.metrics).as_dict()
 
     def health(self) -> dict[str, Any]:
         """Liveness: the event loop is running and workers exist."""
@@ -860,7 +837,6 @@ class ExperimentService:
             "queue": {"pending": self._pending,
                       "limit": self.config.queue_limit},
             "breaker": self.breaker.as_dict(),
-            "probes": self.probes().snapshot(),
         }
 
 

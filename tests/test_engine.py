@@ -344,16 +344,54 @@ class TestSessionApi:
         assert outcome.error_type == "RunTimeout"
         assert session.stats.timeouts == 1
 
-    def test_probes_export_cache_counters(self, tmp_path):
+    def test_spent_retries_still_replace_the_broken_pool(self,
+                                                         monkeypatch):
+        # The first pool dies on its only dispatch.  With retries=0
+        # that run fails, but the next submit must get a fresh pool,
+        # not the dead one.
+        import concurrent.futures
+        from concurrent.futures.process import BrokenProcessPool
+
+        pools = []
+
+        class Pool:
+            def __init__(self, max_workers=None):
+                self.broken = not pools
+                pools.append(self)
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                if self.broken:
+                    future.set_exception(BrokenProcessPool("died"))
+                else:
+                    future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            Pool)
+        config = SessionConfig(jobs=2, cache=False, retries=0)
+        with Session(config=config) as session:
+            crashed = session.submit(small_request()).outcome()
+            assert crashed.error_type == "WorkerCrashed"
+            assert session.submit(small_request()).outcome().completed
+            assert session.stats.retried == 0
+        assert len(pools) == 2
+
+    def test_stats_read_cache_counters_from_metrics(self, tmp_path):
         with Session(config=SessionConfig(cache_dir=tmp_path)) as session:
             session.run(small_request())
             session.run(small_request())
-            registry = session.probes()
-        assert registry.get("engine.cache.hits").value == 1
-        assert registry.get("engine.cache.misses").value == 1
-        assert registry.get("engine.cache.hit_rate").value == \
-            pytest.approx(0.5)
-        assert registry.get("engine.runs.executed").value == 1
+            stats = session.stats
+        assert stats.hits == 1
+        assert stats.misses == 1
+        assert stats.hit_rate == pytest.approx(0.5)
+        assert stats.executed == 1
+        assert all(type(value) is int
+                   for name, value in stats.as_dict().items()
+                   if name != "hit_rate")
 
     def test_run_app_shim_is_gone(self):
         # Removed after its deprecation cycle; EP002 (and this test)

@@ -20,7 +20,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     counter_totals,
     parse_prometheus,
-    probes_from_metrics,
     render_prometheus,
 )
 from repro.obs.registry import COUNTER_UNITS
@@ -156,6 +155,18 @@ class TestExposition:
         assert names == sorted(names)
         assert CONTENT_TYPE.startswith("text/plain")
 
+    def test_total_reads_without_creating_series(self):
+        metrics = self.build()
+        before = render_prometheus(metrics)
+        assert metrics.total("serve_jobs_terminal_total") == 8.0
+        assert metrics.total("serve_jobs_terminal_total",
+                             state="completed") == 7.0
+        assert metrics.total("serve_jobs_terminal_total",
+                             state="never") == 0.0
+        assert metrics.total("serve_queue_depth") == 2.0
+        assert metrics.total("not_registered_total") == 0.0
+        assert render_prometheus(metrics) == before
+
     def test_parse_roundtrip_and_counter_totals(self):
         families = parse_prometheus(render_prometheus(self.build()))
         assert families["serve_jobs_terminal_total"]["type"] == (
@@ -191,20 +202,6 @@ class TestExposition:
         assert 'le="+Inf"' in text
         assert "serve_job_latency_ms_sum" in text
         assert "serve_job_latency_ms_count 2" in text
-
-    def test_probes_bridge_reuses_units(self):
-        rows = []
-        probes_from_metrics(
-            self.build(),
-            add=lambda name, value, unit, help, **kw: rows.append(
-                (name, value, unit)))
-        table = {name: (value, unit) for name, value, unit in rows}
-        assert table['serve_jobs_terminal_total{state=completed}'] \
-            == (7.0, COUNTER_UNITS["serve_jobs_terminal_total"])
-        assert table["serve_queue_depth"] == (
-            2.0, COUNTER_UNITS["serve_queue_depth"])
-        assert table["serve_job_latency_ms.count"] == (
-            2.0, "observations")
 
 
 class TestServiceMetricNamesRegistered:

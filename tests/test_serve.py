@@ -482,6 +482,88 @@ class TestService:
 
         run(crash_then_recover())
 
+    def test_artifact_recovered_job_counts_as_completed(self, tmp_path):
+        config = service_config(tmp_path)
+
+        async def scenario():
+            first = ExperimentService(config)
+            await first.start()
+            try:
+                done, _ = first.submit(DEPTH)
+                await first.wait(done.id, timeout_s=120)
+                assert first.status(done.id).state == "completed"
+            finally:
+                await first.stop()
+            # A crash after acceptance of the same digest: the
+            # artifact already exists, so recovery serves it.
+            first.journal.append(
+                "accepted", "job-00000002", digest=done.digest,
+                payload=DEPTH, deadline_s=60.0)
+            second = ExperimentService(config)
+            await second.start()
+            try:
+                recovered = second.status("job-00000002")
+                assert recovered.state == "completed"
+                assert recovered.served_from == "artifact"
+                stats = second.stats.as_dict()
+                terminal = second.metrics.total(
+                    "serve_jobs_terminal_total", state="completed")
+                assert stats["completed"] == terminal == 1
+                assert stats["recovered"] == 1
+                assert all(type(value) is int
+                           for value in stats.values())
+            finally:
+                await second.stop()
+
+        run(scenario())
+
+    def test_service_retry_policy_is_the_only_retry_layer(
+            self, tmp_path, monkeypatch):
+        # Every pool dispatch breaks.  Worker sessions must not
+        # re-dispatch on their own, so the service RetryPolicy alone
+        # bounds the process dispatches per job.
+        import concurrent.futures
+        from concurrent.futures.process import BrokenProcessPool
+
+        dispatches = []
+
+        class BrokenPool:
+            def __init__(self, max_workers=None):
+                pass
+
+            def submit(self, fn, *args):
+                dispatches.append(args)
+                future = concurrent.futures.Future()
+                future.set_exception(BrokenProcessPool("worker died"))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            BrokenPool)
+        retry = RetryPolicy(max_attempts=3, base_s=0.01,
+                            jitter_cap_s=0.0)
+
+        async def scenario():
+            service = ExperimentService(service_config(
+                tmp_path, workers=1, engine_jobs=2, retry=retry,
+                breaker_threshold=100))
+            await service.start()
+            try:
+                job, _ = service.submit(DEPTH)
+                await service.wait(job.id, timeout_s=60)
+                done = service.status(job.id)
+                assert done.state == "failed"
+                assert done.error_type == "WorkerCrashed"
+                assert done.attempts == retry.max_attempts
+                assert service.engine_stats()["retried"] == 0
+            finally:
+                await service.stop()
+
+        run(scenario())
+        assert 0 < len(dispatches) <= retry.max_attempts
+
 
 # ----------------------------------------------------------------------
 # HTTP layer.
@@ -649,6 +731,11 @@ class TestTelemetryPlane:
                                    "/healthz")
                 one = await http_request(server.host, server.port,
                                          "GET", "/metrics", raw=True)
+                # The stats views read the registry without adding
+                # series to it.
+                service.stats.as_dict()
+                service.engine_stats()
+                service.readiness()
                 two = await http_request(server.host, server.port,
                                          "GET", "/metrics", raw=True)
                 assert one[0] == 200

@@ -210,24 +210,6 @@ class TestCrossBackendCache:
 
 
 class TestSessionConfigShims:
-    def test_legacy_keywords_warn_and_apply(self):
-        with pytest.warns(DeprecationWarning, match="SessionConfig"):
-            session = Session(jobs=2, cache=False)
-        try:
-            assert session.jobs == 2
-            assert session.config.jobs == 2
-            assert session.config.cache is False
-        finally:
-            session.close()
-
-    def test_positional_int_is_legacy_jobs(self):
-        with pytest.warns(DeprecationWarning):
-            session = Session(3, cache=False)
-        try:
-            assert session.jobs == 3
-        finally:
-            session.close()
-
     def test_backend_keyword_is_not_deprecated(self, recwarn):
         import warnings
 
