@@ -946,6 +946,8 @@ def _board(args) -> BoardConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.obs.history import DEFAULT_HISTORY_PATH
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Imagine stream-architecture evaluation, "
@@ -966,22 +968,29 @@ def main(argv: list[str] | None = None) -> int:
              "the vectorized steady-state model, or auto (vector "
              "whenever the run qualifies; bit-identical either way "
              "-- see docs/engine.md)")
-    engine_opts = argparse.ArgumentParser(add_help=False,
-                                          parents=[backend_opts])
-    engine_opts.add_argument("--jobs", type=int, default=1, metavar="N",
-                             help="worker processes for independent "
-                                  "simulations (default 1; output is "
-                                  "byte-identical at any job count)")
-    engine_opts.add_argument("--no-cache", action="store_true",
-                             help="bypass the content-addressed "
-                                  "result cache")
-    engine_opts.add_argument("--cache-dir", default=None, metavar="DIR",
-                             help="result-cache root (default "
-                                  "~/.cache/repro)")
-    engine_opts.add_argument("--history", default=None, metavar="PATH",
-                             help="append per-run profile summaries "
-                                  "to this perf-history JSONL store "
-                                  "(deduplicated by request digest)")
+
+    def engine_opts(history: str | None = None) -> argparse.ArgumentParser:
+        # A fresh parent per command: children share their parents'
+        # action objects, so one command's default (perf's history
+        # store) would otherwise become every command's default.
+        opts = argparse.ArgumentParser(add_help=False,
+                                       parents=[backend_opts])
+        opts.add_argument("--jobs", type=int, default=1, metavar="N",
+                          help="worker processes for independent "
+                               "simulations (default 1; output is "
+                               "byte-identical at any job count)")
+        opts.add_argument("--no-cache", action="store_true",
+                          help="bypass the content-addressed "
+                               "result cache")
+        opts.add_argument("--cache-dir", default=None, metavar="DIR",
+                          help="result-cache root (default "
+                               "~/.cache/repro)")
+        opts.add_argument("--history", default=history, metavar="PATH",
+                          help="append per-run profile summaries "
+                               "to this perf-history JSONL store "
+                               "(deduplicated by request digest)")
+        return opts
+
     sub = parser.add_subparsers(dest="command", required=True)
 
     microbench = sub.add_parser("microbench",
@@ -992,7 +1001,7 @@ def main(argv: list[str] | None = None) -> int:
     kernels.add_argument("--json", action="store_true",
                          help="emit a machine-readable report")
     app = sub.add_parser("app", help="run one application",
-                         parents=[engine_opts])
+                         parents=[engine_opts()])
     app.add_argument("name", help="depth | mpeg | qrd | rtsl")
     app.add_argument("--timeline", action="store_true",
                      help="print the instruction timeline")
@@ -1010,7 +1019,7 @@ def main(argv: list[str] | None = None) -> int:
     faults = sub.add_parser(
         "faults", help="run a degraded-mode resilience campaign "
                        "under a seeded fault plan",
-        parents=[engine_opts])
+        parents=[engine_opts()])
     faults.add_argument("name", nargs="?", default=None,
                         help="depth | mpeg | qrd | rtsl")
     faults.add_argument("--plan", default="board",
@@ -1072,7 +1081,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="print the VLIW microcode listing")
     evaluate = sub.add_parser(
         "evaluate", help="regenerate the paper's whole evaluation",
-        parents=[engine_opts])
+        parents=[engine_opts()])
     evaluate.add_argument("sections", nargs="*",
                           help="subset of sections (default: all)")
     evaluate.add_argument("--list", action="store_true",
@@ -1087,7 +1096,7 @@ def main(argv: list[str] | None = None) -> int:
         "profile", help="run one application and emit its "
                         "hierarchical cycle-accounting profile "
                         "(repro.profile-report/1)",
-        parents=[engine_opts])
+        parents=[engine_opts()])
     profile.add_argument("name", help="depth | mpeg | qrd | rtsl")
     profile.add_argument("--json", action="store_true",
                          help="emit the JSON report instead of text")
@@ -1097,7 +1106,7 @@ def main(argv: list[str] | None = None) -> int:
         "critpath", help="run one application and extract the "
                          "critical path through its recorded event "
                          "DAG (repro.critpath-report/1)",
-        parents=[engine_opts])
+        parents=[engine_opts()])
     critpath.add_argument("name", help="depth | mpeg | qrd | rtsl")
     critpath.add_argument("--json", action="store_true",
                           help="emit the JSON report instead of text")
@@ -1107,7 +1116,7 @@ def main(argv: list[str] | None = None) -> int:
         "whatif", help="predict the speedup of scaling a resource by "
                        "replaying the recorded event DAG "
                        "(repro.whatif-report/1)",
-        parents=[engine_opts])
+        parents=[engine_opts()])
     whatif.add_argument("name", help="depth | mpeg | qrd | rtsl")
     whatif.add_argument("--scale", required=True, metavar="SPEC",
                         help="comma-separated NAME=FACTOR scalings, "
@@ -1139,7 +1148,7 @@ def main(argv: list[str] | None = None) -> int:
                      "perf-history store and write "
                      "BENCH_profile.json; --baseline flags "
                      "regressions",
-        parents=[engine_opts])
+        parents=[engine_opts(history=DEFAULT_HISTORY_PATH)])
     perf.add_argument("--apps", nargs="*", default=None,
                       metavar="NAME",
                       help="subset of applications (default: all)")
@@ -1162,7 +1171,6 @@ def main(argv: list[str] | None = None) -> int:
                       help="bench-critpath document path (top-3 "
                            "binding resources + slack per app on the "
                            "reference board; empty string disables)")
-    perf.set_defaults(history="benchmarks/results/history.jsonl")
     serve = sub.add_parser(
         "serve", help="run the async experiment service (HTTP/JSON "
                       "submit/poll/fetch over the engine), or with "

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from repro.core.config import MachineConfig
 from repro.core.metrics import KernelInvocationRecord
 from repro.core.srf import StreamRegisterFile
-from repro.isa.kernel_ir import FuClass
 from repro.isa.vliw import CompiledKernel, KernelTiming
 
 
@@ -63,8 +62,7 @@ class ClusterArray:
             lrf_words=kernel.lrf_accesses_per_iteration * total_iter_factor,
             sp_accesses=kernel.sp_accesses_per_iteration * total_iter_factor,
             comm_ops=kernel.comm_ops_per_iteration * total_iter_factor,
-            dsq_ops=(kernel.graph.fu_count(FuClass.DSQ)
-                     * total_iter_factor),
+            dsq_ops=kernel.dsq_ops_per_iteration * total_iter_factor,
             fu_cycles={cls.value: busy * iterations for cls, busy
                        in kernel.fu_busy_per_iteration().items()},
         )

@@ -292,6 +292,8 @@ class ImagineProcessor:
         #: Host issues + instruction starts + completions; the
         #: watchdog's progress signal.
         transitions = 0
+        #: Instructions whose status is "done".
+        done_count = 0
         #: Recent idle-cause attributions for diagnostics.
         idle_history: deque[tuple[float, str, float]] = deque(maxlen=16)
         checker = (InvariantChecker(name, len(self.ags))
@@ -471,9 +473,10 @@ class ImagineProcessor:
         def complete(index: int, t: float) -> None:
             nonlocal transitions, pending_unblock, last_complete_node
             nonlocal last_kernel_complete, last_loader_complete
-            nonlocal last_mem_complete
+            nonlocal last_mem_complete, done_count
             state = states[index]
             state.status = "done"
+            done_count += 1
             state.finish_time = t
             transitions += 1
             if checker is not None:
@@ -569,7 +572,7 @@ class ImagineProcessor:
                 if (dep_state.status in ("resident", "running")
                         and dep_state.instruction.op.is_memory):
                     return CycleCategory.MEMORY_STALL
-            if state.status == "resident" and scoreboard.deps_met(instr):
+            if state.status == "resident" and scoreboard.deps_met(index):
                 return CycleCategory.STREAM_CONTROLLER_OVERHEAD
             if state.status == "resident":
                 unissued = any(states[d].status == "pending"
@@ -649,7 +652,7 @@ class ImagineProcessor:
                         state = states[index]
                         if state.status != "resident":
                             continue
-                        if not scoreboard.deps_met(instr):
+                        if not scoreboard.deps_met(index):
                             continue
                         if not resource_free(instr, now):
                             continue
@@ -675,9 +678,7 @@ class ImagineProcessor:
                    == "done"):
                 next_kernel_pos += 1
 
-            all_done = (host.done and all(s.status == "done"
-                                          for s in states))
-            if all_done:
+            if host.done and done_count == len(states):
                 break
 
             # Next event time.

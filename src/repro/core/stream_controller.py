@@ -33,6 +33,11 @@ class Scoreboard:
     def __post_init__(self) -> None:
         self._resident: dict[int, StreamInstruction] = {}
         self._completed: set[int] = set()
+        #: Resident index -> how many of its distinct dependencies
+        #: have not completed yet.
+        self._unmet: dict[int, int] = {}
+        #: Index -> resident instructions counting it as unmet.
+        self._waiters: dict[int, list[int]] = {}
         self.peak_occupancy = 0
 
     def _sample_occupancy(self) -> None:
@@ -59,6 +64,11 @@ class Scoreboard:
         if index in self._resident or index in self._completed:
             raise ScoreboardError(f"instruction {index} already seen")
         self._resident[index] = instruction
+        unmet = {dep for dep in instruction.deps
+                 if dep not in self._completed}
+        self._unmet[index] = len(unmet)
+        for dep in unmet:
+            self._waiters.setdefault(dep, []).append(index)
         self.peak_occupancy = max(self.peak_occupancy, self.occupancy)
         if self.tracer.enabled:
             self._sample_occupancy()
@@ -72,15 +82,21 @@ class Scoreboard:
     def completed(self, index: int) -> bool:
         return index in self._completed
 
-    def deps_met(self, instruction: StreamInstruction) -> bool:
-        return all(dep in self._completed for dep in instruction.deps)
+    def deps_met(self, index: int) -> bool:
+        """Whether every dependency of resident ``index`` completed."""
+        return self._unmet[index] == 0
 
     def complete(self, index: int) -> None:
         if index not in self._resident:
             raise ScoreboardError(
                 f"completing non-resident instruction {index}")
         del self._resident[index]
+        del self._unmet[index]
         self._completed.add(index)
+        unmet = self._unmet
+        for waiter in self._waiters.pop(index, ()):
+            if waiter in unmet:        # not itself completed meanwhile
+                unmet[waiter] -= 1
         if self.tracer.enabled:
             self._sample_occupancy()
 

@@ -71,7 +71,6 @@ from repro.core.processor import (
 from repro.core.srf import StreamRegisterFile
 from repro.core.watchdog import DiagnosticBundle, ProgressWatchdog
 from repro.host.interface import HostInterface
-from repro.isa.kernel_ir import FuClass
 from repro.isa.stream_ops import StreamInstruction, StreamOpType, histogram
 from repro.isa.vliw import CompiledKernel, KernelTiming
 from repro.memsys.controller import (
@@ -157,14 +156,8 @@ def _kernel_key(kernel: CompiledKernel) -> tuple:
         kernel.prologue_cycles, kernel.epilogue_cycles,
         kernel.outer_overhead_cycles,
         kernel.elements_per_iteration,
-        kernel.fpu_instructions_per_iteration(),
-        kernel.words_in_per_iteration, kernel.words_out_per_iteration,
-        kernel.arith_ops_per_iteration, kernel.flops_per_iteration,
-        kernel.instructions_per_iteration,
+        kernel.facts,
         kernel.lrf_accesses_per_iteration,
-        kernel.sp_accesses_per_iteration,
-        kernel.comm_ops_per_iteration,
-        kernel.graph.fu_count(FuClass.DSQ),
         tuple((cls.value, busy) for cls, busy
               in kernel.fu_busy_per_iteration().items()),
     )
@@ -258,8 +251,7 @@ def compile_invocations(
                     sp_accesses=(kernel.sp_accesses_per_iteration
                                  * factor),
                     comm_ops=kernel.comm_ops_per_iteration * factor,
-                    dsq_ops=(kernel.graph.fu_count(FuClass.DSQ)
-                             * factor),
+                    dsq_ops=kernel.dsq_ops_per_iteration * factor,
                     fu_cycles={cls.value: busy * iters
                                for cls, busy in fu_busy.items()},
                 )

@@ -5,7 +5,8 @@ A :class:`Session` is the one front door for running simulations
 :class:`~repro.engine.request.RunRequest` objects (or already-built
 :class:`~repro.apps.common.AppBundle` instances), executes them
 
-* in-process for ``jobs=1``, traced runs and non-catalog bundles,
+* in-process for ``jobs=1``, traced runs and non-catalog bundles
+  (reusing each compiled image across the requests that share it),
 * across a ``ProcessPoolExecutor`` for ``jobs>1`` batches of
   declarative requests (workers rebuild bundles from the catalog, so
   nothing unpicklable ever crosses the process boundary),
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
@@ -56,6 +58,12 @@ CACHE_STATUSES = ("hit", "miss", "uncached")
 #: the digest is backend-agnostic -- caching the refusal would serve
 #: a failure to an event-backend run of the same request.
 _CACHEABLE_ERRORS = ("SimulationError", "InvariantViolation", "HostError")
+
+#: Compiled images one session keeps for in-process reuse
+#: (:meth:`Session._bundle`).  A sweep visits all of an image's
+#: machine/board points back to back, and the evaluation driver walks
+#: the four apps once per board, so four entries hold either.
+IMAGE_MEMO_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -424,6 +432,8 @@ class Session:
                                    on_evict=self._m_evictions.inc)
                        if config.cache else None)
         self._inflight: dict[str, RunHandle] = {}
+        #: (app, sizes) -> built bundle, least recently used first.
+        self._images: OrderedDict[tuple, "AppBundle"] = OrderedDict()
         self._history_recorded: set[str] = set()
         self._executor: concurrent.futures.ProcessPoolExecutor | None = None
         self._closed = False
@@ -486,6 +496,7 @@ class Session:
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
+        self._images.clear()
         self._closed = True
 
     def _pool(self) -> concurrent.futures.ProcessPoolExecutor:
@@ -530,7 +541,7 @@ class Session:
             handle.backend = effective_backend
             handle.tracer = tracer if tracer is not None else Tracer()
             bundle = prebuilt if prebuilt is not None else \
-                catalog.build_app(request.app, **dict(request.sizes))
+                self._bundle(request)
             outcome = _capture(bundle, request, tracer=handle.tracer,
                                preflight=self.preflight,
                                backend=effective_backend)
@@ -575,11 +586,31 @@ class Session:
             handle._attempts = 1
         else:
             bundle = prebuilt if prebuilt is not None else \
-                catalog.build_app(request.app, **dict(request.sizes))
+                self._bundle(request)
             self._complete(handle, _capture(
                 bundle, request, preflight=self.preflight,
                 backend=effective_backend))
         return handle
+
+    def _bundle(self, request: RunRequest) -> "AppBundle":
+        """The compiled bundle for an in-process run, built once per
+        (app, sizes) while it stays among the last
+        :data:`IMAGE_MEMO_SIZE` this session used.
+
+        Sharing is safe because simulation never modifies an image
+        (only memos that kernel equality ignores fill in).  Pool
+        workers rebuild per request instead (``_execute_request``).
+        """
+        key = (catalog.canonical_name(request.app), request.sizes)
+        bundle = self._images.get(key)
+        if bundle is not None:
+            self._images.move_to_end(key)
+            return bundle
+        bundle = catalog.build_app(request.app, **dict(request.sizes))
+        self._images[key] = bundle
+        if len(self._images) > IMAGE_MEMO_SIZE:
+            self._images.popitem(last=False)
+        return bundle
 
     def submit_bundle(self, bundle: "AppBundle", *,
                       board: BoardConfig | None = None,

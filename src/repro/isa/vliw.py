@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.isa.kernel_ir import FuClass, KernelGraph, OPCODES
 
@@ -79,6 +80,42 @@ class KernelTiming:
         return self.operations + self.main_loop_overhead
 
 
+@dataclass(frozen=True)
+class KernelFacts:
+    """Per-iteration operation and word counts of a kernel graph.
+
+    The timing and metrics layers read these on every invocation, and
+    a compiled kernel's graph never changes, so
+    :attr:`CompiledKernel.facts` derives them once.
+    """
+
+    arith_ops: int
+    flops: int
+    instructions: int
+    words_in: int
+    words_out: int
+    fpu_instructions: int
+    sp_accesses: int
+    comm_ops: int
+    dsq_ops: int
+
+    @classmethod
+    def of(cls, graph: KernelGraph) -> "KernelFacts":
+        fu = graph.fu_count
+        return cls(
+            arith_ops=graph.arith_ops_per_iteration,
+            flops=graph.flops_per_iteration,
+            instructions=graph.instructions_per_iteration,
+            words_in=graph.words_in_per_iteration,
+            words_out=graph.words_out_per_iteration,
+            fpu_instructions=(fu(FuClass.ADD) + fu(FuClass.MUL)
+                              + fu(FuClass.DSQ)),
+            sp_accesses=fu(FuClass.SP),
+            comm_ops=fu(FuClass.COMM),
+            dsq_ops=fu(FuClass.DSQ),
+        )
+
+
 @dataclass
 class CompiledKernel:
     """Output of the kernel compiler for one kernel.
@@ -110,33 +147,46 @@ class CompiledKernel:
     # ------------------------------------------------------------------
     # Derived per-iteration facts.
     # ------------------------------------------------------------------
+    @cached_property
+    def facts(self) -> KernelFacts:
+        """The graph's per-iteration counts, derived on first use.
+
+        Kept in the instance dict rather than as a field, so a freshly
+        compiled kernel pickles exactly as it did before the memo.
+        """
+        return KernelFacts.of(self.graph)
+
     @property
     def arith_ops_per_iteration(self) -> int:
-        return self.graph.arith_ops_per_iteration
+        return self.facts.arith_ops
 
     @property
     def flops_per_iteration(self) -> int:
-        return self.graph.flops_per_iteration
+        return self.facts.flops
 
     @property
     def instructions_per_iteration(self) -> int:
-        return self.graph.instructions_per_iteration
+        return self.facts.instructions
 
     @property
     def words_in_per_iteration(self) -> int:
-        return self.graph.words_in_per_iteration
+        return self.facts.words_in
 
     @property
     def words_out_per_iteration(self) -> int:
-        return self.graph.words_out_per_iteration
+        return self.facts.words_out
 
     @property
     def sp_accesses_per_iteration(self) -> int:
-        return self.graph.fu_count(FuClass.SP)
+        return self.facts.sp_accesses
 
     @property
     def comm_ops_per_iteration(self) -> int:
-        return self.graph.fu_count(FuClass.COMM)
+        return self.facts.comm_ops
+
+    @property
+    def dsq_ops_per_iteration(self) -> int:
+        return self.facts.dsq_ops
 
     @property
     def elements_per_iteration(self) -> int:
@@ -148,9 +198,7 @@ class CompiledKernel:
 
     def fpu_instructions_per_iteration(self) -> int:
         """Instructions on the six FPUs (ADD/MUL/DSQ) per iteration."""
-        graph = self.graph
-        return (graph.fu_count(FuClass.ADD) + graph.fu_count(FuClass.MUL)
-                + graph.fu_count(FuClass.DSQ))
+        return self.facts.fpu_instructions
 
     def fu_busy_per_iteration(self) -> dict[FuClass, int]:
         """Unit-busy cycles per FU class in one main-loop iteration.

@@ -266,7 +266,11 @@ class _Emitter:
     def __init__(self, program: StreamProgram,
                  last_use: dict[int, int]) -> None:
         self.program = program
-        self.last_use = last_use
+        #: Call position -> streams last read there, in ``last_use``
+        #: order (the order they are released in).
+        self.dead_at: dict[int, list[int]] = {}
+        for ident, last in last_use.items():
+            self.dead_at.setdefault(last, []).append(ident)
         machine = program.machine
         self.instructions: list[StreamInstruction] = []
         self.srf = StreamRegisterFile(
@@ -322,15 +326,14 @@ class _Emitter:
 
     def _release_dead_streams(self, position: int,
                               releaser: int) -> None:
-        for ident, last in list(self.last_use.items()):
-            if last == position and ident in self.region_of:
+        for ident in self.dead_at.pop(position, ()):
+            if ident in self.region_of:
                 start, words = self.region_of.pop(ident)
                 self.srf.free(f"s{ident}")
                 self.freed.append((start, start + words, releaser))
                 row = self._open_srf_row.pop(ident, None)
                 if row is not None:
                     row[4] = releaser
-                del self.last_use[ident]
 
     def _sdr_for(self, stream: StreamRef) -> list[int]:
         """Reference the stream's descriptor; emit a write if new."""

@@ -197,9 +197,38 @@ class TestScoreboard:
         dependent = self.make_instr(1, deps=[0])
         board.insert(0, self.make_instr(0))
         board.insert(1, dependent)
-        assert not board.deps_met(dependent)
+        assert not board.deps_met(1)
         board.complete(0)
-        assert board.deps_met(dependent)
+        assert board.deps_met(1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_readiness_matches_rescan(self, data):
+        """The incremental unmet-dependency counts agree with the
+        rescan they replace, over any insert/complete interleaving:
+        deps completed before the insert, repeated deps, self and
+        never-issued deps (indices past ``count``), and completions
+        of instructions whose deps are still unmet."""
+        count = data.draw(st.integers(1, 10))
+        deps = [data.draw(st.lists(st.integers(0, count + 2),
+                                   max_size=4))
+                for _ in range(count)]
+        to_insert = list(data.draw(st.permutations(range(count))))
+        board = Scoreboard(slots=count)
+        completed: set[int] = set()
+        while to_insert or board.occupancy:
+            resident = [i for i in range(count) if board.resident(i)]
+            if to_insert and (not resident or data.draw(st.booleans())):
+                index = to_insert.pop(0)
+                board.insert(index, self.make_instr(index, deps[index]))
+            else:
+                index = data.draw(st.sampled_from(resident))
+                board.complete(index)
+                completed.add(index)
+            for index in range(count):
+                if board.resident(index):
+                    assert board.deps_met(index) == all(
+                        dep in completed for dep in deps[index])
 
     def test_duplicate_insert_rejected(self):
         board = Scoreboard()

@@ -9,6 +9,8 @@ and cache temperatures, failure capture, the removal of the old
 construction inside the engine.
 """
 
+import copy
+import dataclasses
 import json
 import os
 import pathlib
@@ -402,6 +404,93 @@ class TestSessionApi:
         assert not hasattr(repro.apps, "run_app")
         assert not hasattr(repro.apps.common, "run_app")
         assert "run_app" not in repro.apps.__all__
+
+
+def _same(a, b) -> bool:
+    """Equality that compares NumPy arrays by value."""
+    import numpy as np
+
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return a == b
+
+
+class TestImageMemo:
+    """An in-process session builds each (app, sizes) image once and
+    reuses it across machine/board points without changing a result."""
+
+    SIZES = {"triangles": 60, "seed": 11}
+    #: The distinct points of a design-space sweep: Table 3 hardware,
+    #: Table 6 ISIM, a Fig. 14 host rate and the scoreboard ablation.
+    POINTS = (dict(board=BoardConfig.hardware()),
+              dict(board=BoardConfig.isim()),
+              dict(board=BoardConfig.hardware(host_mips=1.0)),
+              dict(machine=MachineConfig(scoreboard_slots=8)))
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Every catalog build, as (sizes, bundle)."""
+        from repro.engine import catalog
+
+        built = []
+        real = catalog.build_app
+
+        def counting(name, **sizes):
+            bundle = real(name, **sizes)
+            built.append((sizes, bundle))
+            return bundle
+
+        monkeypatch.setattr(catalog, "build_app", counting)
+        return built
+
+    def request(self, sizes=None, **point) -> RunRequest:
+        return RunRequest.for_app("rtsl", sizes=sizes or self.SIZES,
+                                  **point)
+
+    def test_one_build_serves_every_point(self, builds):
+        from repro.obs.profile import build_profile
+
+        with Session(config=SessionConfig(jobs=1, cache=False)) as session:
+            before = copy.deepcopy(session._bundle(self.request()).image)
+            results = [session.run(self.request(**point))
+                       for point in self.POINTS]
+        assert len(builds) == 1
+        image = builds[0][1].image
+        for spec in dataclasses.fields(image):
+            if spec.compare:
+                assert _same(getattr(image, spec.name),
+                             getattr(before, spec.name)), spec.name
+        for point, result in zip(self.POINTS, results):
+            fresh = build_app("rtsl", **self.SIZES)
+            with Session(config=SessionConfig(cache=False)) as session:
+                expected = session.run_bundle(fresh, **point)
+            assert result.metrics == expected.metrics
+            assert (build_profile(result)["summary"]
+                    == build_profile(expected)["summary"])
+
+    def test_other_seed_or_size_builds_again(self, builds):
+        with Session(config=SessionConfig(jobs=1, cache=False)) as session:
+            session.run(self.request())
+            session.run(self.request(dict(self.SIZES, seed=12)))
+            session.run(self.request({"triangles": 61, "seed": 11}))
+            session.run(self.request(board=BoardConfig.isim()))
+        assert [sizes for sizes, _ in builds] == [
+            self.SIZES, dict(self.SIZES, seed=12),
+            {"triangles": 61, "seed": 11}]
+
+    def test_least_recently_used_image_is_dropped(self, builds):
+        from repro.engine.session import IMAGE_MEMO_SIZE
+
+        seeds = range(IMAGE_MEMO_SIZE + 1)
+        with Session(config=SessionConfig(jobs=1, cache=False)) as session:
+            for seed in seeds:
+                session._bundle(self.request(dict(self.SIZES, seed=seed)))
+            session._bundle(self.request(dict(self.SIZES, seed=0)))
+            session._bundle(self.request(
+                dict(self.SIZES, seed=IMAGE_MEMO_SIZE)))
+        assert [sizes["seed"] for sizes, _ in builds] == [*seeds, 0]
 
 
 class TestEntrypointLint:

@@ -15,7 +15,7 @@ from repro.core import BoardConfig
 from repro.engine import Session, SessionConfig
 from repro.isa.kernel_ir import KernelBuilder
 from repro.streamc import StreamProgram
-from repro.streamc.program import KernelSpec
+from repro.streamc.program import KernelSpec, _Emitter
 
 _BOARDS = {
     "hardware": BoardConfig.hardware(),
@@ -94,7 +94,38 @@ def random_program(draw):
     return program
 
 
+class _RescanEmitter(_Emitter):
+    """Reference release: rescan every stream's last use on each
+    emit, releasing in ``last_use`` order."""
+
+    def __init__(self, program, last_use):
+        super().__init__(program, last_use)
+        self.last_use = dict(last_use)
+
+    def _release_dead_streams(self, position, releaser):
+        for ident, last in list(self.last_use.items()):
+            if last == position and ident in self.region_of:
+                start, words = self.region_of.pop(ident)
+                self.srf.free(f"s{ident}")
+                self.freed.append((start, start + words, releaser))
+                row = self._open_srf_row.pop(ident, None)
+                if row is not None:
+                    row[4] = releaser
+                del self.last_use[ident]
+
+
 class TestStreamFuzz:
+    @settings(max_examples=25, deadline=None)
+    @given(random_program())
+    def test_release_matches_rescan(self, program):
+        image = program.build()
+        emitter = _RescanEmitter(program, program._analyze_lifetimes())
+        for position, call in enumerate(program._calls):
+            emitter.emit(position, call)
+        reference = emitter.finish()
+        assert image.instructions == reference.instructions
+        assert image.srf_allocations == reference.srf_allocations
+
     @settings(max_examples=25, deadline=None)
     @given(random_program(), st.sampled_from(sorted(_BOARDS)))
     def test_random_programs_complete_and_conserve(self, program,

@@ -20,6 +20,7 @@ from repro.engine import Session, SessionConfig
 from repro.engine.session import RunRequest
 from repro.obs.diff import DIFF_SCHEMA, diff_profiles, render_diff
 from repro.obs.history import (
+    DEFAULT_HISTORY_PATH,
     append_history,
     history_entry,
     read_history,
@@ -253,6 +254,20 @@ class TestHistory:
 
 
 class TestPerfCli:
+    def test_only_perf_defaults_to_the_tracked_store(self, tmp_path,
+                                                     monkeypatch):
+        # Every subcommand shares the engine flags; perf's default
+        # history store must not become theirs.
+        monkeypatch.chdir(tmp_path)
+        store = tmp_path / DEFAULT_HISTORY_PATH
+        assert cli_main(["app", "rtsl", "--json", "--no-cache"]) == 0
+        assert cli_main(["critpath", "rtsl", "--no-cache"]) == 0
+        assert not (tmp_path / "benchmarks").exists()
+        assert cli_main(["perf", "--apps", "rtsl", "--boards", "hardware",
+                         "--no-cache", "--out", "bench.json",
+                         "--critpath-out", ""]) == 0
+        assert len(read_history(store)) == 1
+
     def test_perf_gate_passes_then_catches_regression(self, tmp_path):
         out = tmp_path / "BENCH_profile.json"
         history = tmp_path / "history.jsonl"

@@ -10,6 +10,7 @@ from repro.isa.stream_ops import (
 )
 from repro.isa.vliw import CompiledKernel, KernelTiming, Slot, VliwWord
 from repro.kernelc import compile_kernel
+from repro.kernels import KERNEL_LIBRARY
 
 
 def tiny_kernel() -> CompiledKernel:
@@ -35,6 +36,36 @@ class TestKernelTiming:
     def test_fpu_instruction_count(self):
         kernel = tiny_kernel()
         assert kernel.fpu_instructions_per_iteration() == 1
+
+
+class TestKernelFacts:
+    @pytest.mark.parametrize("name", sorted(KERNEL_LIBRARY))
+    def test_cached_facts_match_the_graph(self, name):
+        kernel = KERNEL_LIBRARY[name].compiled()
+        graph = kernel.graph
+        fu = graph.fu_count
+        assert kernel.facts is kernel.facts
+        assert (kernel.arith_ops_per_iteration
+                == graph.arith_ops_per_iteration)
+        assert kernel.flops_per_iteration == graph.flops_per_iteration
+        assert (kernel.instructions_per_iteration
+                == graph.instructions_per_iteration)
+        assert (kernel.words_in_per_iteration
+                == graph.words_in_per_iteration)
+        assert (kernel.words_out_per_iteration
+                == graph.words_out_per_iteration)
+        assert kernel.fpu_instructions_per_iteration() == (
+            fu(FuClass.ADD) + fu(FuClass.MUL) + fu(FuClass.DSQ))
+        assert kernel.sp_accesses_per_iteration == fu(FuClass.SP)
+        assert kernel.comm_ops_per_iteration == fu(FuClass.COMM)
+        assert kernel.dsq_ops_per_iteration == fu(FuClass.DSQ)
+
+    def test_fresh_kernel_carries_no_memo(self):
+        # Images pickle as they did before the memo existed.
+        kernel = tiny_kernel()
+        assert "facts" not in vars(kernel)
+        assert kernel.flops_per_iteration == 1
+        assert "facts" in vars(kernel)
 
 
 class TestCompiledKernelValidation:
